@@ -19,6 +19,7 @@ campaign fails or a correctness bug is found (so the CLI can gate CI).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -43,6 +44,86 @@ from repro.testing.coverage import CoverageCampaign
 from repro.testing.generator import QueryGenerator
 from repro.testing.suite import CostOracle, TestSuiteBuilder, singleton_nodes
 from repro.workloads import tpch_database
+
+
+def _at_least(text: str, minimum: int) -> int:
+    value = int(text)
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the count options (``--rules``, ``--k``, ...)."""
+    return _at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of ``--extra-operators``."""
+    return _at_least(text, 0)
+
+
+#: Options several subcommands take, each declared once here; a
+#: subcommand adds one with :func:`_shared`, giving its own default.
+SHARED_OPTIONS = {
+    "--rules": {
+        "type": positive_int,
+        "help": "test the first RULES exploration rules "
+        "(default %(default)s)",
+    },
+    "--rule-names": {
+        "nargs": "+", "metavar": "RULE",
+        "help": "test exactly these exploration rules (overrides --rules)",
+    },
+    "--k": {
+        "type": positive_int,
+        "help": "queries per rule in the (compressed) suite "
+        "(default %(default)s)",
+    },
+    "--extra-operators": {
+        "type": non_negative_int,
+        "help": "extra random operators wrapped around generated queries "
+        "(default %(default)s)",
+    },
+    "--pool": {
+        "type": positive_int, "default": 8,
+        "help": "queries regenerated per mutant -- the FULL suite "
+        "(default %(default)s)",
+    },
+    "--sample": {
+        "type": positive_int, "metavar": "N",
+        "help": "stride-sample the mutant set down to at most N mutants "
+        "(CI smoke mode)",
+    },
+    "--pool-seeds": {
+        "type": int, "nargs": "+", "metavar": "SEED",
+        "help": "generation seeds whose per-mutant pools are unioned "
+        "(default: the global --seed; more seeds = more detection power)",
+    },
+    "--format": {"choices": ["text", "json", "markdown"], "default": "text"},
+    "--output": {"help": "write the report to this file instead of stdout"},
+    "--fail-under": {
+        "type": float, "metavar": "FRACTION",
+        "help": "exit non-zero when the detection rate over "
+        "expected-detectable mutants (mutate: of the FULL suite; compress: "
+        "of the chosen objective) is below this fraction (e.g. 0.9)",
+    },
+    "--fault": {
+        "choices": sorted(ALL_FAULTS),
+        "help": "replace a rule with its seeded buggy variant first (a "
+        "self-test: the command should then report the bug)",
+    },
+    "--method": {"choices": ["pattern", "random"], "default": "pattern"},
+    "--disable": {
+        "action": "append", "default": [],
+        "help": "rule name to disable (repeatable)",
+    },
+}
+
+
+def _shared(parser, flag: str, **overrides) -> None:
+    """Add the shared option ``flag`` to a subcommand's parser."""
+    parser.add_argument(flag, **{**SHARED_OPTIONS[flag], **overrides})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,23 +163,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--rule", required=True)
     generate.add_argument("--pair", help="second rule for pair generation")
-    generate.add_argument(
-        "--method", choices=["pattern", "random"], default="pattern"
-    )
-    generate.add_argument("--max-trials", type=int, default=None)
-    generate.add_argument(
-        "--extra-operators", type=int, default=0,
-        help="wrap the result in N extra random operators",
-    )
+    _shared(generate, "--method")
+    generate.add_argument("--max-trials", type=positive_int, default=None)
+    _shared(generate, "--extra-operators", default=0)
 
     optimize = commands.add_parser(
         "optimize", help="optimize a SQL query and show plan + RuleSet"
     )
     optimize.add_argument("--sql", required=True)
-    optimize.add_argument(
-        "--disable", action="append", default=[],
-        help="rule name to disable (repeatable)",
-    )
+    _shared(optimize, "--disable")
     optimize.add_argument(
         "--execute", action="store_true", help="also execute and show rows"
     )
@@ -106,8 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     correctness = commands.add_parser(
         "correctness", help="run a compressed correctness test suite"
     )
-    correctness.add_argument("--rules", type=int, default=8)
-    correctness.add_argument("--k", type=int, default=3)
+    _shared(correctness, "--rules", default=8)
+    _shared(correctness, "--k", default=3)
     correctness.add_argument(
         "--method", choices=["baseline", "smc", "topk"], default="topk"
     )
@@ -122,33 +195,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated fleet; the first member is the reference "
         "(default engine,sqlite; duckdb joins when installed)",
     )
-    diff.add_argument(
-        "--rules", type=int, default=6,
-        help="exploration rules the suite is generated for (default 6)",
-    )
-    diff.add_argument(
-        "--rule-names", nargs="+", default=None, metavar="RULE",
-        help="generate the suite for exactly these exploration rules "
-        "(overrides --rules; e.g. the subquery-unnesting family)",
-    )
-    diff.add_argument(
-        "--k", type=int, default=2, help="queries per rule (default 2)"
-    )
-    diff.add_argument(
-        "--extra-operators", type=int, default=2,
-        help="extra random operators wrapped around generated queries",
-    )
-    diff.add_argument(
-        "--fault", choices=sorted(ALL_FAULTS),
-        help="replace a rule with its seeded buggy variant first (the "
-        "fleet should then disagree -- a self-test of the oracle)",
-    )
-    diff.add_argument(
-        "--format", choices=["text", "json", "markdown"], default="text",
-    )
-    diff.add_argument(
-        "--output", help="write the report to this file instead of stdout"
-    )
+    _shared(diff, "--rules", default=6)
+    _shared(diff, "--rule-names")
+    _shared(diff, "--k", default=2)
+    _shared(diff, "--extra-operators", default=2)
+    _shared(diff, "--fault")
+    _shared(diff, "--format")
+    _shared(diff, "--output")
     diff.add_argument(
         "--collect-out", metavar="PATH",
         help="also write the deterministic JSON collect artifact to PATH",
@@ -157,10 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     coverage = commands.add_parser(
         "coverage", help="rule-coverage campaign over the rule library"
     )
-    coverage.add_argument("--rules", type=int, default=10)
-    coverage.add_argument(
-        "--method", choices=["pattern", "random"], default="pattern"
-    )
+    _shared(coverage, "--rules", default=10)
+    _shared(coverage, "--method")
     coverage.add_argument("--pairs", action="store_true")
 
     interaction = commands.add_parser(
@@ -175,11 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="full pipeline (coverage + compression + correctness) as a "
         "markdown report",
     )
-    campaign.add_argument("--rules", type=int, default=10)
-    campaign.add_argument("--k", type=int, default=3)
-    campaign.add_argument(
-        "--output", help="write the markdown report to this file"
-    )
+    _shared(campaign, "--rules", default=10)
+    _shared(campaign, "--k", default=3)
+    _shared(campaign, "--output")
     campaign.add_argument(
         "--mutants", type=int, default=0, metavar="N",
         help="additionally run a mutation campaign sampled to at most N "
@@ -191,14 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mutation campaign: auto-generated rule faults scored "
         "against full vs compressed suites (see docs/TESTING.md)",
     )
-    mutate.add_argument(
-        "--rules", type=int, default=10,
-        help="number of exploration rules to mutate (default 10)",
-    )
-    mutate.add_argument(
-        "--rule-names", nargs="+", default=None, metavar="RULE",
-        help="mutate exactly these exploration rules (overrides --rules)",
-    )
+    _shared(mutate, "--rules", default=10)
+    _shared(mutate, "--rule-names")
     mutate.add_argument(
         "--operators", action="append", default=None,
         metavar="NAME",
@@ -209,39 +252,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-operators", action="store_true",
         help="list available mutation operators and exit",
     )
-    mutate.add_argument(
-        "--pool", type=int, default=8,
-        help="queries regenerated per mutant -- the FULL suite (default 8)",
-    )
-    mutate.add_argument(
-        "--k", type=int, default=2,
-        help="queries the compressed suites (SMC/TOPK) select (default 2)",
-    )
-    mutate.add_argument(
-        "--sample", type=int, default=None, metavar="N",
-        help="stride-sample the mutant set down to at most N mutants "
-        "(CI smoke mode)",
-    )
-    mutate.add_argument(
-        "--extra-operators", type=int, default=4,
-        help="extra random operators wrapped around generated queries",
-    )
-    mutate.add_argument(
-        "--pool-seeds", type=int, nargs="+", default=None, metavar="SEED",
-        help="generation seeds whose per-mutant pools are unioned "
-        "(default: the global --seed; more seeds = more detection power)",
-    )
-    mutate.add_argument(
-        "--format", choices=["text", "json", "markdown"], default="text",
-    )
-    mutate.add_argument(
-        "--output", help="write the report to this file instead of stdout"
-    )
-    mutate.add_argument(
-        "--fail-under", type=float, default=None, metavar="FRACTION",
-        help="exit non-zero when the FULL suite's detection score over "
-        "expected-detectable mutants is below this fraction (e.g. 0.9)",
-    )
+    _shared(mutate, "--pool")
+    _shared(mutate, "--k", default=2)
+    _shared(mutate, "--sample")
+    _shared(mutate, "--extra-operators", default=4)
+    _shared(mutate, "--pool-seeds")
+    _shared(mutate, "--format")
+    _shared(mutate, "--output")
+    _shared(mutate, "--fail-under")
 
     compress = commands.add_parser(
         "compress",
@@ -282,42 +300,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip the leave-one-out generalization score (faster on "
         "large matrices)",
     )
-    compress.add_argument(
-        "--rules", type=int, default=10,
-        help="exploration rules mutated when no --matrix is given",
-    )
-    compress.add_argument(
-        "--pool", type=int, default=8,
-        help="queries regenerated per mutant for a fresh campaign",
-    )
-    compress.add_argument(
-        "--k", type=int, default=2,
-        help="k of the campaign's coverage variants (fresh campaign)",
-    )
-    compress.add_argument(
-        "--sample", type=int, default=None, metavar="N",
-        help="stride-sample the fresh campaign's mutants (CI smoke mode)",
-    )
-    compress.add_argument(
-        "--extra-operators", type=int, default=4,
-        help="extra random operators wrapped around generated queries",
-    )
-    compress.add_argument(
-        "--pool-seeds", type=int, nargs="+", default=None, metavar="SEED",
-        help="generation seeds whose per-mutant pools are unioned",
-    )
+    _shared(compress, "--rules", default=10)
+    _shared(compress, "--pool")
+    _shared(compress, "--k", default=2)
+    _shared(compress, "--sample")
+    _shared(compress, "--extra-operators", default=4)
+    _shared(compress, "--pool-seeds")
     compress.add_argument(
         "--differential", metavar="BACKENDS", default=None,
         help="comma-separated backend fleet folded in as a second kill "
         "oracle during the fresh campaign (first must be 'engine', "
         "e.g. engine,sqlite)",
     )
-    compress.add_argument(
-        "--format", choices=["text", "json", "markdown"], default="text",
-    )
-    compress.add_argument(
-        "--output", help="write the report to this file instead of stdout"
-    )
+    _shared(compress, "--format")
+    _shared(compress, "--output")
     compress.add_argument(
         "--pareto-out", metavar="PATH",
         help="also write the deterministic Pareto JSON artifact to PATH "
@@ -327,11 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--matrix-out", metavar="PATH",
         help="also write the distilled kill matrix as JSON to PATH",
     )
-    compress.add_argument(
-        "--fail-under", type=float, default=None, metavar="FRACTION",
-        help="exit non-zero when the selected objective's detection rate "
-        "over expected-detectable mutants is below this fraction",
-    )
+    _shared(compress, "--fail-under")
 
     analyze = commands.add_parser(
         "analyze",
@@ -385,10 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="additionally optimize N random queries with the plan "
         "sanitizer enabled and assert cost monotonicity",
     )
-    analyze.add_argument(
-        "--fault", choices=sorted(ALL_FAULTS),
-        help="replace a rule with its seeded buggy variant before analyzing",
-    )
+    _shared(analyze, "--fault")
     analyze.add_argument(
         "--fail-on", choices=["error", "warning"], default="error",
         help="lowest severity that makes the exit code non-zero",
@@ -411,24 +400,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--campaign", action="store_true",
         help="trace a full testing campaign",
     )
-    trace.add_argument(
-        "--format", choices=["text", "json", "chrome"], default="text",
+    _shared(
+        trace, "--format",
+        choices=["text", "json", "chrome"],
         help="text: rule table; json: deterministic event dump; chrome: "
         "chrome://tracing / Perfetto trace-event JSON",
     )
     trace.add_argument(
-        "--top", type=int, default=10, metavar="N",
+        "--top", type=positive_int, default=10, metavar="N",
         help="rows in the hot-rule table (text format, default 10)",
     )
-    trace.add_argument(
-        "--rules", type=int, default=6,
-        help="rules under test for --campaign (default 6)",
-    )
-    trace.add_argument("--k", type=int, default=2, help="queries per rule")
-    trace.add_argument(
-        "--disable", action="append", default=[],
-        help="rule name to disable (repeatable)",
-    )
+    _shared(trace, "--rules", default=6)
+    _shared(trace, "--k", default=2)
+    _shared(trace, "--disable")
     trace.add_argument(
         "--detail", choices=["full", "summary"], default="full",
         help="full: every rule attempt / memo insert / costing as an "
@@ -440,8 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--executor", choices=["columnar", "iterator"], default=None,
         help="executor for the post-optimization execution of --sql/"
-        "--rule traces (default: process default, i.e. columnar unless "
-        "REPRO_EXECUTOR=iterator)",
+        "--rule traces (default: columnar)",
     )
 
     cache = commands.add_parser(
@@ -482,13 +465,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         database = tpch_database(seed=args.seed)
     registry = default_registry()
-    service = PlanService(
-        database,
-        registry=registry,
-        workers=args.workers,
-        cache_dir=None if args.no_cache else default_cache_dir(),
-        memory_cache=not args.no_cache,
-    )
+    if getattr(args, "fault", None):  # diff and analyze self-tests
+        registry = registry.with_replaced_rule(ALL_FAULTS[args.fault]())
+    run = {
+        "diff": _run_diff,
+        "mutate": _run_mutate,
+        "compress": _run_compress,
+        "trace": _run_trace,
+        "analyze": _run_analyze,
+    }.get(args.command)
+    if run is not None:
+        # these build their own plan services where they need one
+        return run(args, database, registry)
 
     if args.command == "ddl":
         print(database.catalog.ddl())
@@ -508,10 +496,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"    {registry.pattern_xml(rule.name)}")
         return 0
 
+    # the remaining commands share one service with the persistent cache
+    service = PlanService(
+        database,
+        registry=registry,
+        workers=args.workers,
+        cache_dir=None if args.no_cache else default_cache_dir(),
+        memory_cache=not args.no_cache,
+    )
+    generator = QueryGenerator(
+        database, registry, seed=args.seed, service=service
+    )
+
     if args.command == "generate":
-        generator = QueryGenerator(
-            database, registry, seed=args.seed, service=service
-        )
         if args.pair:
             if args.method == "pattern":
                 outcome = generator.pattern_query_for_pair(
@@ -563,7 +560,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "correctness":
-        names = registry.exploration_rule_names[: args.rules]
+        names = _selected_rules(args, registry)
         builder = TestSuiteBuilder(
             database, registry, seed=args.seed, extra_operators=2,
             service=service,
@@ -596,22 +593,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if report.passed else 1
 
     if args.command == "coverage":
-        generator = QueryGenerator(
-            database, registry, seed=args.seed, service=service
-        )
         campaign = CoverageCampaign(generator)
-        names = registry.exploration_rule_names[: args.rules]
-        if args.pairs:
-            report = campaign.pairs(names, method=args.method)
-        else:
-            report = campaign.singletons(names, method=args.method)
+        cover = campaign.pairs if args.pairs else campaign.singletons
+        report = cover(_selected_rules(args, registry), method=args.method)
         print(report.summary())
         return 0 if not report.uncovered else 1
 
     if args.command == "interaction":
-        generator = QueryGenerator(
-            database, registry, seed=args.seed, service=service
-        )
         outcome = generator.derived_interaction_query(
             args.producer, args.consumer
         )
@@ -628,136 +616,113 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(outcome.sql)
         return 0
 
-    if args.command == "diff":
-        return _run_diff(args, database, registry)
-
-    if args.command == "mutate":
-        return _run_mutate(args, database, registry)
-
-    if args.command == "compress":
-        return _run_compress(args, database, registry)
-
     if args.command == "campaign":
         from repro.testing.report import run_campaign
 
-        names = registry.exploration_rule_names[: args.rules]
         result = run_campaign(
-            database, registry, rule_names=names, k=args.k, seed=args.seed,
-            service=service, mutation_sample=args.mutants,
+            database, registry, rule_names=_selected_rules(args, registry),
+            k=args.k, seed=args.seed, service=service,
+            mutation_sample=args.mutants,
         )
-        text = result.to_markdown()
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-            print(f"report written to {args.output}")
-        else:
-            print(text)
+        # the markdown report ends in a newline of its own
+        _write_report(result.to_markdown(), args.output, end="")
         return 0 if result.passed else 1
-
-    if args.command == "trace":
-        return _run_trace(args, database, registry)
-
-    if args.command == "analyze":
-        import json as json_module
-        from pathlib import Path
-
-        from repro.analysis import (
-            AnalysisReport,
-            AstLinter,
-            InteractionAnalyzer,
-            RegistryLinter,
-            RuleGate,
-            Severity,
-            SubstitutionVerifier,
-            default_workloads,
-        )
-
-        analysis_registry = registry
-        if args.fault:
-            analysis_registry = registry.with_replaced_rule(
-                ALL_FAULTS[args.fault]()
-            )
-        workloads = default_workloads(seed=args.seed or 1)
-        docs_path = Path(__file__).resolve().parents[2] / "docs" / "RULES.md"
-        report = AnalysisReport()
-        if not args.skip_lint:
-            linter = RegistryLinter(
-                analysis_registry,
-                workloads,
-                samples_per_workload=args.seeds,
-                seed=args.seed,
-                docs_path=docs_path if docs_path.exists() else None,
-            )
-            report.merge(linter.run())
-        if not args.skip_verify:
-            verifier = SubstitutionVerifier(
-                analysis_registry,
-                workloads,
-                samples_per_workload=args.seeds,
-                seed=args.seed,
-            )
-            report.merge(verifier.run())
-        if not args.skip_astlint:
-            report.merge(AstLinter(analysis_registry).run())
-        graph = None
-        if args.interactions:
-            analyzer = InteractionAnalyzer(
-                analysis_registry, workloads, seed=args.seed
-            )
-            report.merge(analyzer.run())
-            graph = analyzer.build_graph()
-            if args.interactions_dot:
-                Path(args.interactions_dot).write_text(graph.to_dot())
-        verdicts = []
-        if args.gate or args.gate_all:
-            gate = RuleGate(analysis_registry, workloads=workloads)
-            if args.gate:
-                verdicts.append(
-                    gate.check(args.gate, static_only=args.gate_static_only)
-                )
-            else:
-                verdicts = gate.check_all(
-                    static_only=args.gate_static_only
-                )
-        rejected = [v for v in verdicts if not v.admitted]
-        if args.plans:
-            report.merge(
-                _sanitized_plan_smoke(
-                    database, analysis_registry, args.plans, args.seed
-                )
-            )
-        if args.json:
-            payload = json_module.loads(report.to_json())
-            if graph is not None:
-                payload["interaction_graph"] = graph.to_json_dict()
-            if verdicts:
-                payload["gate"] = [v.to_dict() for v in verdicts]
-                payload["gate_rejected"] = [v.rule_name for v in rejected]
-            print(json_module.dumps(payload, indent=2, sort_keys=False))
-        else:
-            print(report.to_text())
-            for verdict in verdicts:
-                status = "ADMITTED" if verdict.admitted else "REJECTED"
-                line = f"gate {verdict.rule_name}: {status}"
-                if verdict.dynamic_status:
-                    line += f" (dynamic: {verdict.dynamic_status})"
-                print(line)
-                for reason in verdict.reasons:
-                    print(f"  - {reason}")
-        threshold = (
-            Severity.ERROR if args.fail_on == "error" else Severity.WARNING
-        )
-        if rejected:
-            return 1
-        return 1 if report.at_or_above(threshold) else 0
 
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _run_analyze(args, database, registry) -> int:
+    """The ``repro analyze`` subcommand: static analysis of the registry."""
+    from pathlib import Path
+
+    from repro.analysis import (
+        AnalysisReport,
+        AstLinter,
+        InteractionAnalyzer,
+        RegistryLinter,
+        RuleGate,
+        Severity,
+        SubstitutionVerifier,
+        default_workloads,
+    )
+
+    workloads = default_workloads(seed=args.seed or 1)
+    docs_path = Path(__file__).resolve().parents[2] / "docs" / "RULES.md"
+    report = AnalysisReport()
+    if not args.skip_lint:
+        linter = RegistryLinter(
+            registry,
+            workloads,
+            samples_per_workload=args.seeds,
+            seed=args.seed,
+            docs_path=docs_path if docs_path.exists() else None,
+        )
+        report.merge(linter.run())
+    if not args.skip_verify:
+        verifier = SubstitutionVerifier(
+            registry,
+            workloads,
+            samples_per_workload=args.seeds,
+            seed=args.seed,
+        )
+        report.merge(verifier.run())
+    if not args.skip_astlint:
+        report.merge(AstLinter(registry).run())
+    graph = None
+    if args.interactions:
+        analyzer = InteractionAnalyzer(
+            registry, workloads, seed=args.seed
+        )
+        report.merge(analyzer.run())
+        graph = analyzer.build_graph()
+        if args.interactions_dot:
+            Path(args.interactions_dot).write_text(graph.to_dot())
+    verdicts = []
+    if args.gate or args.gate_all:
+        gate = RuleGate(registry, workloads=workloads)
+        if args.gate:
+            verdicts.append(
+                gate.check(args.gate, static_only=args.gate_static_only)
+            )
+        else:
+            verdicts = gate.check_all(
+                static_only=args.gate_static_only
+            )
+    rejected = [v for v in verdicts if not v.admitted]
+    if args.plans:
+        report.merge(
+            _sanitized_plan_smoke(
+                database, registry, args.plans, args.seed
+            )
+        )
+    if args.json:
+        payload = json.loads(report.to_json())
+        if graph is not None:
+            payload["interaction_graph"] = graph.to_json_dict()
+        if verdicts:
+            payload["gate"] = [v.to_dict() for v in verdicts]
+            payload["gate_rejected"] = [v.rule_name for v in rejected]
+        print(json.dumps(payload, indent=2, sort_keys=False))
+    else:
+        print(report.to_text())
+        for verdict in verdicts:
+            status = "ADMITTED" if verdict.admitted else "REJECTED"
+            line = f"gate {verdict.rule_name}: {status}"
+            if verdict.dynamic_status:
+                line += f" (dynamic: {verdict.dynamic_status})"
+            print(line)
+            for reason in verdict.reasons:
+                print(f"  - {reason}")
+    threshold = (
+        Severity.ERROR if args.fail_on == "error" else Severity.WARNING
+    )
+    return 1 if rejected or report.at_or_above(threshold) else 0
+
+
 def _selected_rules(args, registry):
-    """Rule names a campaign subcommand targets: the explicit
-    ``--rule-names`` list (validated against the registry) when given,
-    else the first ``--rules`` registered exploration rules."""
+    """Rule names every subcommand targets: the explicit ``--rule-names``
+    list (validated against the registry) when given, else the first
+    ``--rules`` registered exploration rules."""
     requested = getattr(args, "rule_names", None)
     if not requested:
         return registry.exploration_rule_names[: args.rules]
@@ -768,6 +733,73 @@ def _selected_rules(args, registry):
             "unknown exploration rules: " + ", ".join(unknown)
         )
     return list(requested)
+
+
+def _split_names(text: str) -> List[str]:
+    """A comma-separated backend fleet as a list of names."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _write_report(text: str, path, what="report", end="\n") -> None:
+    """Print ``text``, or write it (plus ``end``) to ``path`` and say so."""
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text + end)
+        print(f"{what} written to {path}")
+    else:
+        print(text)
+
+
+def _write_rendered(report, args) -> None:
+    """Write a diff or mutation report in ``--format`` to ``--output``;
+    after a non-text file, echo the text summary so stdout shows the
+    verdict."""
+    _write_report(getattr(report, f"to_{args.format}")(), args.output)
+    if args.output and args.format != "text":
+        print(report.to_text())
+
+
+def _percent(rate) -> str:
+    """A detection rate for display; ``None`` (nothing expected) is n/a."""
+    return "n/a" if rate is None else f"{rate:.0%}"
+
+
+def _fail_under(args, rate, what: str) -> int:
+    """Exit code of the ``--fail-under`` gate on a detection ``rate``."""
+    if args.fail_under is None:
+        return 0
+    if rate is None or rate < args.fail_under:
+        print(
+            f"FAILED: {what} {_percent(rate)} below "
+            f"--fail-under {args.fail_under:.0%}"
+        )
+        return 1
+    return 0
+
+
+def _mutation_report(
+    args, database, registry, metrics, operators=None, differential=()
+):
+    """Run the mutation campaign behind ``mutate`` and a fresh
+    ``compress``."""
+    from repro.testing.mutation import MutationCampaign
+
+    campaign = MutationCampaign(
+        database,
+        registry,
+        pool=args.pool,
+        k=args.k,
+        seed=args.seed,
+        seeds=args.pool_seeds,
+        extra_operators=args.extra_operators,
+        workers=args.workers,
+        metrics=metrics,
+        differential_backends=differential,
+    )
+    return campaign.run(
+        _selected_rules(args, registry), operators=operators,
+        sample=args.sample,
+    )
 
 
 def _run_diff(args, database, registry) -> int:
@@ -781,8 +813,6 @@ def _run_diff(args, database, registry) -> int:
     from repro.obs import MetricsRegistry
     from repro.testing.differential import DifferentialRunner
 
-    if args.fault:
-        registry = registry.with_replaced_rule(ALL_FAULTS[args.fault]())
     service = PlanService(
         database, registry=registry, workers=args.workers, cache_dir=None
     )
@@ -794,12 +824,10 @@ def _run_diff(args, database, registry) -> int:
     )
     suite = builder.build(singleton_nodes(names), k=args.k)
 
-    requested = [
-        name.strip() for name in args.backends.split(",") if name.strip()
-    ]
     try:
         backends, skipped = create_backends(
-            requested, database, registry=registry, service=service
+            _split_names(args.backends), database,
+            registry=registry, service=service,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -830,24 +858,11 @@ def _run_diff(args, database, registry) -> int:
         },
     )
 
-    if args.format == "json":
-        output = report.to_json()
-    elif args.format == "markdown":
-        output = report.to_markdown()
-    else:
-        output = report.to_text()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(output + "\n")
-        print(f"report written to {args.output}")
-        if args.format != "text":
-            print(report.to_text())
-    else:
-        print(output)
+    _write_rendered(report, args)
     if args.collect_out:
-        with open(args.collect_out, "w") as handle:
-            handle.write(report.to_json() + "\n")
-        print(f"collect artifact written to {args.collect_out}")
+        _write_report(
+            report.to_json(), args.collect_out, what="collect artifact"
+        )
     return 0 if report.passed else 1
 
 
@@ -859,58 +874,21 @@ def _run_mutate(args, database, registry) -> int:
     flag is irrelevant here; ``--workers`` is honoured per mutant.
     """
     from repro.obs import MetricsRegistry
-    from repro.testing.mutation import (
-        DEFAULT_OPERATORS,
-        MutationCampaign,
-    )
+    from repro.testing.mutation import DEFAULT_OPERATORS
 
     if args.list_operators:
         for operator in DEFAULT_OPERATORS:
             print(f"{operator.name:<20} {operator.description}")
         return 0
 
-    metrics = MetricsRegistry()
-    campaign = MutationCampaign(
-        database,
-        registry,
-        pool=args.pool,
-        k=args.k,
-        seed=args.seed,
-        seeds=args.pool_seeds,
-        extra_operators=args.extra_operators,
-        workers=args.workers,
-        metrics=metrics,
+    report = _mutation_report(
+        args, database, registry, MetricsRegistry(),
+        operators=args.operators,
     )
-    names = _selected_rules(args, registry)
-    report = campaign.run(
-        names, operators=args.operators, sample=args.sample
+    _write_rendered(report, args)
+    return _fail_under(
+        args, report.detection_score("FULL"), "FULL detection score"
     )
-
-    if args.format == "json":
-        output = report.to_json()
-    elif args.format == "markdown":
-        output = report.to_markdown()
-    else:
-        output = report.to_text()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(output + "\n")
-        print(f"report written to {args.output}")
-        if args.format != "text":
-            print(report.to_text())
-    else:
-        print(output)
-
-    score = report.detection_score("FULL")
-    if args.fail_under is not None:
-        if score is None or score < args.fail_under:
-            shown = "n/a" if score is None else f"{score:.0%}"
-            print(
-                f"FAILED: FULL detection score {shown} below "
-                f"--fail-under {args.fail_under:.0%}"
-            )
-            return 1
-    return 0
 
 
 def _run_compress(args, database, registry) -> int:
@@ -922,8 +900,6 @@ def _run_compress(args, database, registry) -> int:
     bare rule coverage.  All outputs are deterministic functions of the
     matrix (see docs/COMPRESSION.md).
     """
-    import json as json_module
-
     from repro.obs import MetricsRegistry
     from repro.testing.detection import (
         DetectionError,
@@ -938,7 +914,7 @@ def _run_compress(args, database, registry) -> int:
     if args.matrix:
         try:
             with open(args.matrix) as handle:
-                payload = json_module.load(handle)
+                payload = json.load(handle)
             if isinstance(payload, dict) and "slot_costs" in payload:
                 # the distilled form written by --matrix-out; it carries
                 # no campaign summary, so coverage contrast is unavailable
@@ -959,37 +935,17 @@ def _run_compress(args, database, registry) -> int:
             )
             return 2
     else:
-        from repro.testing.mutation import MutationCampaign
-
-        backends = None
-        if args.differential:
-            backends = [
-                name.strip()
-                for name in args.differential.split(",") if name.strip()
-            ]
-        campaign = MutationCampaign(
-            database,
-            registry,
-            pool=args.pool,
-            k=args.k,
-            seed=args.seed,
-            seeds=args.pool_seeds,
-            extra_operators=args.extra_operators,
-            workers=args.workers,
-            metrics=metrics,
-            differential_backends=backends,
-        )
-        names = registry.exploration_rule_names[: args.rules]
-        report = campaign.run(names, sample=args.sample)
-        payload = report.to_dict()
+        payload = _mutation_report(
+            args, database, registry, metrics,
+            differential=_split_names(args.differential or ""),
+        ).to_dict()
         matrix = KillMatrix.from_report_dict(payload)
 
     if args.matrix_out:
-        with open(args.matrix_out, "w") as handle:
-            handle.write(json_module.dumps(
-                matrix.to_json_dict(), indent=2, sort_keys=True
-            ) + "\n")
-        print(f"kill matrix written to {args.matrix_out}")
+        _write_report(
+            json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True),
+            args.matrix_out, what="kill matrix",
+        )
 
     adaptive = not args.no_adaptive
     want_pareto = args.objective == "pareto" or bool(args.pareto_out)
@@ -1005,12 +961,14 @@ def _run_compress(args, database, registry) -> int:
             metrics=metrics,
         )
         if args.pareto_out:
-            with open(args.pareto_out, "w") as handle:
-                handle.write(pareto.to_json() + "\n")
-            print(f"pareto artifact written to {args.pareto_out}")
+            _write_report(
+                pareto.to_json(), args.pareto_out, what="pareto artifact"
+            )
 
     if args.objective == "pareto":
-        gate_rate = _pareto_gate_rate(pareto, args.base_k)
+        # gate on the adaptive detection point: the suite it recommends
+        point = pareto.point(f"detection-adaptive-k{args.base_k}")
+        gate_rate = None if point is None else point.detection_rate
         output = _render_pareto(pareto, args.format)
     elif args.objective == "detection":
         plan = detection_plan(
@@ -1034,29 +992,10 @@ def _run_compress(args, database, registry) -> int:
         gate_rate = smc.get("detection_score")
         output = _render_coverage(matrix, payload, args.format)
 
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(output + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(output)
-
-    if args.fail_under is not None:
-        if gate_rate is None or gate_rate < args.fail_under:
-            shown = "n/a" if gate_rate is None else f"{gate_rate:.0%}"
-            print(
-                f"FAILED: {args.objective} objective detection rate "
-                f"{shown} below --fail-under {args.fail_under:.0%}"
-            )
-            return 1
-    return 0
-
-
-def _pareto_gate_rate(pareto, base_k: int):
-    """The rate ``--fail-under`` gates in pareto mode: the adaptive
-    detection point (the suite the objective recommends)."""
-    point = pareto.point(f"detection-adaptive-k{base_k}")
-    return None if point is None else point.detection_rate
+    _write_report(output, args.output)
+    return _fail_under(
+        args, gate_rate, f"{args.objective} objective detection rate"
+    )
 
 
 def _render_pareto(pareto, fmt: str) -> str:
@@ -1066,47 +1005,44 @@ def _render_pareto(pareto, fmt: str) -> str:
         return pareto.to_markdown()
     lines = ["cost vs. detection sweep (* = Pareto frontier):"]
     for point in pareto.points:
-        rate = (
-            " n/a" if point.detection_rate is None
-            else f"{point.detection_rate:>4.0%}"
-        )
         marker = "*" if point.frontier else " "
         lines.append(
             f"  {marker} {point.label:<24} {point.queries:>3} queries  "
-            f"cost {point.cost:>9.1f}  detection {rate}"
+            f"cost {point.cost:>9.1f}  "
+            f"detection {_percent(point.detection_rate):>4}"
         )
     cross = pareto.cross_validated
     if cross is not None:
-        shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
         lines.append(
-            f"  leave-one-out detection of the adaptive plan: {shown} "
-            f"({cross.detected}/{cross.expected})"
+            "  leave-one-out detection of the adaptive plan: "
+            f"{_percent(cross.rate)} ({cross.detected}/{cross.expected})"
         )
     return "\n".join(lines)
 
 
-def _render_detection(matrix, plan, score, cross, fmt: str) -> str:
-    import json as json_module
+def _matrix_json(matrix, **fields) -> str:
+    """A compress JSON report: the matrix's config plus ``fields``."""
+    return json.dumps(
+        {"config": dict(sorted(matrix.config.items())), **fields},
+        indent=2,
+        sort_keys=True,
+    )
 
+
+def _render_detection(matrix, plan, score, cross, fmt: str) -> str:
     if fmt == "json":
-        return json_module.dumps(
-            {
-                "config": dict(sorted(matrix.config.items())),
-                "plan": plan.to_json_dict(matrix),
-                "score": score.to_json_dict(),
-                "cross_validated": (
-                    None if cross is None else cross.to_json_dict()
-                ),
-            },
-            indent=2,
-            sort_keys=True,
+        return _matrix_json(
+            matrix,
+            plan=plan.to_json_dict(matrix),
+            score=score.to_json_dict(),
+            cross_validated=None if cross is None else cross.to_json_dict(),
         )
-    rate = "n/a" if score.rate is None else f"{score.rate:.0%}"
     mode = "adaptive" if plan.adaptive else "fixed"
     lines = [
         f"detection objective (base_k={plan.base_k}, {mode}): "
         f"{plan.total_queries} queries, cost {plan.cost(matrix):.1f}, "
-        f"detection {rate} ({score.detected}/{score.expected})",
+        f"detection {_percent(score.rate)} "
+        f"({score.detected}/{score.expected})",
     ]
     if plan.raises:
         raised = ", ".join(
@@ -1116,9 +1052,8 @@ def _render_detection(matrix, plan, score, cross, fmt: str) -> str:
     for mutant_id in score.survivors:
         lines.append(f"SURVIVOR: {mutant_id}")
     if cross is not None:
-        shown = "n/a" if cross.rate is None else f"{cross.rate:.0%}"
         lines.append(
-            f"leave-one-out detection: {shown} "
+            f"leave-one-out detection: {_percent(cross.rate)} "
             f"({cross.detected}/{cross.expected})"
         )
     if fmt == "markdown":
@@ -1139,29 +1074,19 @@ def _render_detection(matrix, plan, score, cross, fmt: str) -> str:
 
 
 def _render_coverage(matrix, payload, fmt: str) -> str:
-    import json as json_module
-
     from repro.testing.detection import _coverage_points
 
     points = _coverage_points(matrix, payload)
     if fmt == "json":
-        return json_module.dumps(
-            {
-                "config": dict(sorted(matrix.config.items())),
-                "points": [point.to_json_dict() for point in points],
-            },
-            indent=2,
-            sort_keys=True,
+        return _matrix_json(
+            matrix, points=[point.to_json_dict() for point in points]
         )
     lines = ["coverage-objective variants of the campaign, rescored:"]
     for point in points:
-        rate = (
-            "n/a" if point.detection_rate is None
-            else f"{point.detection_rate:.0%}"
-        )
         lines.append(
             f"  {point.label:<24} {point.queries:>3} queries  "
-            f"cost {point.cost:>9.1f}  detection {rate}"
+            f"cost {point.cost:>9.1f}  detection "
+            f"{_percent(point.detection_rate)}"
         )
         for mutant_id in point.survivors:
             lines.append(f"    SURVIVOR: {mutant_id}")
@@ -1171,13 +1096,9 @@ def _render_coverage(matrix, payload, fmt: str) -> str:
             "| point | queries | cost | detection |", "|---|---:|---:|---:|",
         ]
         for point in points:
-            rate = (
-                "n/a" if point.detection_rate is None
-                else f"{point.detection_rate:.0%}"
-            )
             header.append(
                 f"| {point.label} | {point.queries} | {point.cost:.1f} "
-                f"| {rate} |"
+                f"| {_percent(point.detection_rate)} |"
             )
         header.append("")
         return "\n".join(header)
@@ -1191,10 +1112,8 @@ def _run_trace(args, database, registry) -> int:
     event sequence depends only on the seed and the query -- the JSON
     export is byte-identical across runs.
     """
-    import json
-
+    from repro.engine import ExecutionConfig
     from repro.obs import MetricsRegistry, RecordingTracer
-    from repro.testing.generator import QueryGenerator
 
     tracer = RecordingTracer(detail=args.detail)
     metrics = MetricsRegistry()
@@ -1207,7 +1126,7 @@ def _run_trace(args, database, registry) -> int:
     if args.campaign:
         from repro.testing.report import run_campaign
 
-        names = registry.exploration_rule_names[: args.rules]
+        names = _selected_rules(args, registry)
         run_campaign(
             database, registry, rule_names=names, k=args.k,
             seed=args.seed, service=service,
@@ -1236,45 +1155,24 @@ def _run_trace(args, database, registry) -> int:
         # Execute the optimized plan under the same tracer/metrics so the
         # archive carries per-operator exec spans (rows in/out, batch
         # counts) and the exec.* counters next to the optimizer series.
-        from repro.engine import ExecutionConfig
-
-        execution = (
-            ExecutionConfig(executor=args.executor)
-            if getattr(args, "executor", None)
-            else None
-        )
         execute_plan(
             result.plan, database, result.output_columns,
-            config=execution, tracer=tracer, metrics=metrics,
+            config=ExecutionConfig(executor=args.executor)
+            if args.executor else None,
+            tracer=tracer, metrics=metrics,
         )
 
     if args.format == "json":
         output = json.dumps(
-            {
-                "trace": {
-                    "capacity": tracer.capacity,
-                    "dropped": tracer.dropped,
-                    "events": [
-                        event.deterministic_dict()
-                        for event in tracer.events
-                    ],
-                },
-                "metrics": metrics.snapshot(),
-            },
-            indent=2,
-            sort_keys=True,
+            {"trace": tracer.to_json_dict(), "metrics": metrics.snapshot()},
+            indent=2, sort_keys=True,
         )
     elif args.format == "chrome":
         output = tracer.to_chrome_json()
     else:
         output = _trace_text(subject, tracer, metrics, args.top)
 
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(output + "\n")
-        print(f"trace written to {args.out}")
-    else:
-        print(output)
+    _write_report(output, args.out, what="trace")
     return 0
 
 

@@ -7,11 +7,11 @@ Two executors implement the same plan semantics:
 * ``iterator`` — the original row-at-a-time interpreter, kept as the
   reference oracle.
 
-``ExecutionConfig`` selects between them and optionally enables a
-self-check mode that runs *both* executors and fails loudly if their
-result bags ever disagree.  Environment overrides:
+``ExecutionConfig`` selects between them (``executor=``; ``repro trace
+--executor`` on the command line) and optionally enables a self-check
+mode that runs *both* executors and fails loudly if their result bags
+ever disagree.  One environment override:
 
-* ``REPRO_EXECUTOR=iterator`` — escape hatch back to the interpreter.
 * ``REPRO_EXEC_SELF_CHECK=1`` — differentially verify every execution
   (or a deterministic sample; ``REPRO_EXEC_SELF_CHECK=0.25`` checks a
   quarter of plans, sampled by plan signature so the choice is stable).
@@ -52,10 +52,8 @@ DEFAULT_EXECUTION = ExecutionConfig()
 
 
 def default_execution_config() -> ExecutionConfig:
-    """Build the process default, honouring environment overrides."""
-    executor = os.environ.get("REPRO_EXECUTOR", COLUMNAR).strip().lower()
-    if executor not in _EXECUTORS:
-        executor = COLUMNAR
+    """Build the process default: the columnar executor, self-checked
+    when ``REPRO_EXEC_SELF_CHECK`` asks for it."""
     raw_check = os.environ.get("REPRO_EXEC_SELF_CHECK", "").strip()
     self_check = False
     rate = 1.0
@@ -67,6 +65,4 @@ def default_execution_config() -> ExecutionConfig:
         if value > 0.0:
             self_check = True
             rate = min(value, 1.0)
-    return ExecutionConfig(
-        executor=executor, self_check=self_check, self_check_rate=rate
-    )
+    return ExecutionConfig(self_check=self_check, self_check_rate=rate)

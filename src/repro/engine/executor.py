@@ -7,8 +7,8 @@ implement identical semantics:
 * the **columnar** executor (:mod:`repro.engine.columnar`) — the default
   hot path, batch-oriented over per-column lists;
 * the **iterator** interpreter in this module — the reference oracle,
-  selected with ``ExecutionConfig(executor="iterator")`` or the
-  ``REPRO_EXECUTOR=iterator`` environment escape hatch.
+  selected with ``ExecutionConfig(executor="iterator")`` (or ``repro
+  trace --executor iterator``).
 
 ``ExecutionConfig.self_check`` runs both and raises if their canonical
 result bags ever disagree (a deterministic plan-signature sample keeps

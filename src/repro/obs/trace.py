@@ -227,6 +227,14 @@ class RecordingTracer(Tracer):
 
     # -------------------------------------------------------------- export
 
+    def to_json_dict(self) -> Dict[str, object]:
+        """The payload of :meth:`to_json`, for embedding in larger dumps."""
+        return {
+            "capacity": self.capacity,
+            "dropped": self._dropped,
+            "events": [e.deterministic_dict() for e in self._events],
+        }
+
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Deterministic JSON export: timestamps and durations excluded.
 
@@ -234,12 +242,7 @@ class RecordingTracer(Tracer):
         output (the acceptance property behind ``repro trace --format
         json``); sorted keys make the bytes independent of dict order.
         """
-        payload = {
-            "capacity": self.capacity,
-            "dropped": self._dropped,
-            "events": [e.deterministic_dict() for e in self._events],
-        }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
     def to_chrome_json(self, indent: Optional[int] = 2) -> str:
         """Chrome trace-event JSON (load via ``chrome://tracing`` or

@@ -22,9 +22,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from repro.testing.suite import CostOracle, RuleNode, SuiteQuery, TestSuite
 
 
@@ -373,6 +370,11 @@ def matching_plan(
     cost.  Reduces to min-cost bipartite matching between (rule, slot)
     pairs and queries; solved exactly with the Hungarian algorithm.
     """
+    # numpy/scipy are imported here, their only use, so that campaigns and
+    # the CLI (which never take this path) do not pay for loading them.
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     k = suite.k
     slots: List[RuleNode] = [
         node for node in suite.rule_nodes for _ in range(k)

@@ -99,7 +99,7 @@ class CorrectnessRunner:
         #: ``Cost(q) <= Cost(q, not R)`` invariant.
         self.monotonicity_guard = monotonicity_guard
         #: Executor selection; ``None`` resolves the process default
-        #: (columnar unless ``REPRO_EXECUTOR=iterator``) per execution.
+        #: (the columnar executor) per execution.
         self.execution = execution
         #: Batched mode routes all plan executions through
         #: ``PlanService.execute_many`` (scan sharing, coalescing, the

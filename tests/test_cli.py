@@ -308,3 +308,81 @@ class TestDiff:
     def test_fleet_of_one_exits_two(self, capsys):
         assert main(["diff", "--backends", "engine"]) == 2
         assert "at least two" in capsys.readouterr().err
+
+
+class TestMutate:
+    def test_list_operators(self, capsys):
+        assert main(["mutate", "--list-operators"]) == 0
+        out = capsys.readouterr().out
+        assert "handwritten" in out
+        assert "drop-conjunct" in out
+
+    def test_json_report_to_file_echoes_the_text_summary(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "mutate.json"
+        assert main(
+            ["mutate", "--operators", "handwritten", "--sample", "1",
+             "--format", "json", "--output", str(target)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"report written to {target}" in out
+        assert "mutation campaign: 1 mutants" in out
+        payload = json.loads(target.read_text())
+        assert payload["config"]["operators"] == ["handwritten"]
+        assert len(payload["mutants"]) == 1
+        assert payload["summary"]["FULL"]["detection_score"] == 1.0
+
+    @pytest.mark.parametrize("threshold, code", [("0.5", 1), ("0", 0)])
+    def test_fail_under_exit_code(self, capsys, threshold, code):
+        # a one-query pool kills nothing: FULL detection is 0%
+        assert main(
+            ["mutate", "--operators", "handwritten", "--sample", "1",
+             "--pool", "1", "--k", "1", "--fail-under", threshold]
+        ) == code
+        out = capsys.readouterr().out
+        assert ("FAILED: FULL detection score 0%" in out) == bool(code)
+
+
+class TestCountOptions:
+    """Count options are rejected at parse time (exit 2) below their
+    minimum instead of running an empty or silently sliced campaign."""
+
+    def test_zero_k_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["correctness", "--rules", "2", "--k", "0"])
+        assert exit_info.value.code == 2
+        assert "argument --k: must be at least 1" in capsys.readouterr().err
+
+    def test_negative_rules_is_rejected(self, capsys):
+        # `[: -1]` used to select all but one rule
+        with pytest.raises(SystemExit) as exit_info:
+            main(["correctness", "--rules", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --rules: must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--rules", "0"],
+        ["campaign", "--k", "0"],
+        ["diff", "--rules", "0"],
+        ["mutate", "--pool", "0"],
+        ["mutate", "--sample", "0"],
+        ["compress", "--sample", "-2"],
+        ["trace", "--sql", "SELECT 1", "--top", "0"],
+        ["generate", "--rule", "SelectMerge", "--max-trials", "0"],
+        ["diff", "--extra-operators", "-1"],
+        ["generate", "--rule", "SelectMerge", "--extra-operators", "-1"],
+        ["correctness", "--k", "two"],
+    ])
+    def test_below_minimum_or_not_a_number(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+    def test_zero_extra_operators_is_allowed(self, capsys):
+        assert main(
+            ["generate", "--rule", "JoinCommutativity",
+             "--extra-operators", "0"]
+        ) == 0

@@ -102,12 +102,6 @@ class TestExecutionConfig:
         with pytest.raises(ValueError, match="self_check_rate"):
             ExecutionConfig(self_check_rate=2.0)
 
-    def test_env_executor_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "iterator")
-        assert default_execution_config().executor == ITERATOR
-        monkeypatch.setenv("REPRO_EXECUTOR", "nonsense")
-        assert default_execution_config().executor == COLUMNAR
-
     def test_env_self_check(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_SELF_CHECK", "1")
         config = default_execution_config()
