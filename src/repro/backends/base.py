@@ -244,8 +244,8 @@ class Backend(abc.ABC):
     ) -> List[BackendRun]:
         """Batch form of :meth:`run`; one :class:`BackendRun` per request.
 
-        The default runs serially; backends with a batched execution
-        path (the in-process engine) override it to share scans and
-        coalesce identical plans while producing byte-identical runs.
+        The default runs :meth:`run` per request; the in-process engine
+        overrides it to execute the whole list in one call while
+        producing byte-identical runs.
         """
         return [self.run(query_id, tree) for query_id, tree in requests]

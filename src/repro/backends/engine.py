@@ -1,7 +1,7 @@
 """The in-process engine as a fleet backend.
 
-Wraps the optimize-then-execute pipeline (``PlanService`` +
-:func:`repro.engine.executor.execute_plan`) behind the
+Wraps the optimize-then-execute pipeline (``PlanService.optimize`` +
+``PlanService.execute_many``) behind the
 :class:`~repro.backends.base.Backend` protocol.  This is the *system under
 test*: its optimizer applies the transformation rules whose correctness
 the fleet checks, while the external backends execute the rendered SQL
@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.backends.base import Backend, BackendError, PlanShape
-from repro.engine.executor import ExecutionError, execute_plan
 from repro.logical.operators import LogicalOp
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.result import OptimizationError
@@ -50,7 +49,9 @@ def physical_plan_shape(plan: PhysicalOp) -> PlanShape:
 
 
 class EngineBackend(Backend):
-    """The repro optimizer + iterator executor as one fleet member."""
+    """The repro optimizer + default (columnar) executor as one fleet
+    member; both :meth:`execute` and :meth:`run_many` execute through the
+    service's result cache."""
 
     dialect = ENGINE_DIALECT
     plan_language = ENGINE_PLAN_LANGUAGE
@@ -100,13 +101,13 @@ class EngineBackend(Backend):
 
     def execute(self, tree: LogicalOp, sql: str) -> Sequence[Tuple]:
         result = self._optimize(tree)
-        try:
-            output = execute_plan(
-                result.plan, self.database, result.output_columns
-            )
-        except ExecutionError as exc:
-            raise BackendError(f"execution failed: {exc}") from exc
-        return output.rows
+        (item,) = self.service.execute_many(
+            [(result.plan, result.output_columns)], database=self.database
+        )
+        if item.error is not None:
+            error = item.error
+            raise BackendError(f"execution failed: {error}") from error
+        return item.result.rows
 
     def explain(self, tree: LogicalOp, sql: str) -> PlanShape:
         return physical_plan_shape(self._optimize(tree).plan)
@@ -114,11 +115,9 @@ class EngineBackend(Backend):
     def run_many(self, requests):
         """Batched :meth:`run`: optimize per query, execute as one batch.
 
-        Runs the whole request list through
-        :meth:`PlanService.execute_many`, which shares table scans and
-        coalesces identical plans; error strings and plan shapes match
-        the serial path byte-for-byte, so campaign artifacts are
-        unchanged.
+        Runs the whole request list through one
+        :meth:`PlanService.execute_many` call; error strings and plan
+        shapes match :meth:`run` byte-for-byte.
         """
         from repro.backends.base import BackendRun, normalized_bag
 

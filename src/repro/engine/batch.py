@@ -1,15 +1,13 @@
-"""Batched plan execution with within-batch coalescing.
+"""Executing a list of plans against one database.
 
 The correctness hot path executes many plans against one database — the
 baseline plan plus one plan per disabled-rule variant per query, times
-every mutant of a campaign.  Many of those plans are *identical* (a
-mutant that never fires reproduces the baseline plan exactly), so
-:func:`execute_many` coalesces duplicate ``(plan, output columns)``
-requests into one execution and hands every requester the same
-:class:`~repro.engine.results.QueryResult` object — which also shares
-the cached bag digest, making the follow-up comparisons O(1).
+every mutant of a campaign.  :func:`execute_many` runs them one by one and
+captures each failure in its :class:`BatchItem`, so one bad plan does not
+abort the rest.  Repeated plans are answered once, by the result cache of
+:meth:`repro.service.PlanService.execute_many`.
 
-Table scans are shared across the whole batch for free: the columnar
+Table scans are shared across the whole list for free: the columnar
 executor reads the per-table column snapshot cached on
 :class:`~repro.storage.table.StoredTable`, which stays valid for as long
 as the database is not mutated.
@@ -18,9 +16,9 @@ as the database is not mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.engine.config import ExecutionConfig, default_execution_config
+from repro.engine.config import ExecutionConfig
 from repro.engine.executor import ExecutionError, execute_plan
 from repro.engine.results import QueryResult
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -33,12 +31,10 @@ ExecRequest = Tuple[PhysicalOp, Optional[Tuple]]
 
 @dataclass
 class BatchItem:
-    """Outcome of one request inside an :func:`execute_many` batch."""
+    """Outcome of one request inside an :func:`execute_many` call."""
 
     result: Optional[QueryResult] = None
     error: Optional[ExecutionError] = None
-    #: True when this request reused another request's execution.
-    coalesced: bool = False
 
     @property
     def ok(self) -> bool:
@@ -53,53 +49,23 @@ def execute_many(
     tracer: Tracer = NULL_TRACER,
     metrics=None,
 ) -> List[BatchItem]:
-    """Execute ``requests`` against ``database``, coalescing duplicates.
+    """Execute ``requests`` against ``database``, in request order.
 
-    Returns one :class:`BatchItem` per request, in request order.  A plan
-    that fails to execute yields an item carrying the
-    :class:`ExecutionError` instead of raising, so one bad plan does not
-    abort the batch (mirroring how campaign runners handle per-query
-    errors).
+    Returns one :class:`BatchItem` per request.  A plan that fails to
+    execute yields an item carrying the :class:`ExecutionError` instead of
+    raising (mirroring how campaign runners handle per-query errors).
     """
-    if config is None:
-        config = default_execution_config()
-    items: List[Optional[BatchItem]] = [None] * len(requests)
-
-    # Group identical (plan, projection) requests; physical operators are
-    # frozen dataclasses, so plans hash and compare structurally.
-    groups: Dict[Tuple, List[int]] = {}
-    group_order: List[Tuple] = []
-    for index, (plan, outputs) in enumerate(requests):
-        key = (plan, tuple(outputs) if outputs is not None else None)
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [index]
-            group_order.append(key)
-        else:
-            bucket.append(index)
-
-    for key in group_order:
-        plan, outputs = key
-        indices = groups[key]
+    items: List[BatchItem] = []
+    for plan, outputs in requests:
         try:
-            result = execute_plan(
-                plan,
-                database,
-                outputs,
-                config=config,
-                tracer=tracer,
-                metrics=metrics,
+            items.append(
+                BatchItem(
+                    result=execute_plan(
+                        plan, database, outputs,
+                        config=config, tracer=tracer, metrics=metrics,
+                    )
+                )
             )
-            error = None
         except ExecutionError as exc:
-            result = None
-            error = exc
-        for rank, index in enumerate(indices):
-            items[index] = BatchItem(
-                result=result, error=error, coalesced=rank > 0
-            )
-        if metrics is not None:
-            metrics.counter("exec.batches").inc()
-            if len(indices) > 1:
-                metrics.counter("exec.coalesced").inc(len(indices) - 1)
+            items.append(BatchItem(error=exc))
     return items

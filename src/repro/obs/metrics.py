@@ -104,7 +104,8 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     ),
     "service.batches": (
         "counter", (),
-        "`optimize_many()` batches that had at least one cache miss.",
+        "`optimize_many()`/`cost_many()` calls that had at least one "
+        "cache miss (single `optimize()`/`cost()` requests never count).",
     ),
     "service.parallel_tasks": (
         "counter", (),
@@ -189,21 +190,11 @@ METRIC_DOCS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "counter", (),
         "Result rows produced by completed plan executions.",
     ),
-    "exec.batches": (
-        "counter", (),
-        "Coalesced execution groups processed by `execute_many()` "
-        "(one unique (plan, projection) pair per group).",
-    ),
-    "exec.coalesced": (
-        "counter", (),
-        "Requests inside `execute_many()` batches that reused another "
-        "request's execution instead of running the plan again.",
-    ),
     "exec.cache_hits": (
         "counter", (),
-        "`PlanService.execute_many()` requests answered from the "
-        "cross-batch result cache (keyed by plan signature, projection, "
-        "and database fingerprint).",
+        "`PlanService.execute_many()` requests answered from the result "
+        "cache (keyed by plan signature, projection, and database "
+        "fingerprint), including repeats within one call.",
     ),
     "exec.scan_cache_hits": (
         "counter", (),

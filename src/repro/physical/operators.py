@@ -488,8 +488,7 @@ def plan_signature(op: PhysicalOp) -> str:
 
     Physical operators are frozen dataclasses whose ``repr`` is fully
     structural (children, predicates, keys), so hashing the repr gives a
-    stable within- and across-process identity.  Used to key execution
-    result caches, coalesce identical executions inside a batch, and
-    annotate executor trace spans.
+    stable within- and across-process identity.  Used to key the
+    execution result cache and annotate executor trace spans.
     """
     return hashlib.sha256(repr(op).encode("utf-8")).hexdigest()[:16]

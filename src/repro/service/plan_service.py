@@ -257,28 +257,10 @@ class PlanService:
         Raises :class:`OptimizationError` when no plan exists (failures are
         memoized too, so repeated requests do not re-search).
         """
-        config = self._resolve_config(config)
-        key = self._key(tree, config)
-        self._bump("requests")
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._bump("memory_hits")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="memory_hit", request="optimize",
-                )
-        else:
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="miss", request="optimize",
-                )
-            entry = self._compute(tree, config)
-            self._store(key, entry)
-        if entry.result is None:
-            raise OptimizationError(entry.error or "optimization failed")
-        return entry.result
+        return self._results(
+            self._serve([(tree, config)], costs=False, batch=False),
+            return_errors=False,
+        )[0]
 
     def cost(
         self, tree: LogicalOp, config: Optional[OptimizerConfig] = None
@@ -288,35 +270,9 @@ class PlanService:
         Unlike :meth:`optimize` this can be answered from the persistent
         disk cache, because it needs no plan object.
         """
-        config = self._resolve_config(config)
-        key = self._key(tree, config)
-        self._bump("requests")
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._bump("memory_hits")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="memory_hit", request="cost",
-                )
-            return entry.cost
-        record = self._lookup_record(key)
-        if record is not None:
-            self._bump("disk_hits")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.cache", cat="service",
-                    outcome="disk_hit", request="cost",
-                )
-            return self._record_cost(record)
-        if self.tracer.enabled:
-            self.tracer.event(
-                "service.cache", cat="service",
-                outcome="miss", request="cost",
-            )
-        entry = self._compute(tree, config)
-        self._store(key, entry)
-        return entry.cost
+        return self._costs(
+            self._serve([(tree, config)], costs=True, batch=False)
+        )[0]
 
     def _lookup_record(self, key: _CacheKey) -> Optional[Dict]:
         record = self._cost_records.get(key)
@@ -350,50 +306,83 @@ class PlanService:
         yield their :class:`OptimizationError` in place; otherwise the
         first failure raises after the batch completes.
         """
-        normalized: List[Tuple[LogicalOp, OptimizerConfig]] = []
-        for request in requests:
-            if isinstance(request, LogicalOp):
-                normalized.append((request, self.config))
-            else:
-                tree, config = request
-                normalized.append((tree, self._resolve_config(config)))
+        outcomes = self._serve(requests, costs=False, batch=True)
+        return self._results(outcomes, return_errors)
 
-        outcomes: List[Optional[_Entry]] = [None] * len(normalized)
+    def cost_many(self, requests: Sequence[PlanRequest]) -> List[float]:
+        """Batch form of :meth:`cost` (disk-cache aware, ``inf`` on failure)."""
+        return self._costs(self._serve(requests, costs=True, batch=True))
+
+    def _serve(
+        self, requests: Sequence[PlanRequest], *, costs: bool, batch: bool
+    ) -> List[Union[_Entry, float]]:
+        """The one lookup path behind every Plan/Cost request.
+
+        Each request is answered from memory, then (for ``costs`` only,
+        which need no plan object) from the disk cache as a bare cost;
+        the distinct misses are computed -- over the process pool when a
+        ``batch`` has more than one -- and stored.  ``batch`` marks an
+        ``optimize_many``/``cost_many`` call: only those count towards
+        ``batches``; single requests trace one ``service.cache`` event.
+        """
+        outcomes: List[Union[_Entry, float, None]] = [None] * len(requests)
         pending: Dict[_CacheKey, _Pending] = {}
-        for index, (tree, config) in enumerate(normalized):
+        for index, request in enumerate(requests):
+            tree, config = (
+                (request, None) if isinstance(request, LogicalOp) else request
+            )
+            config = self._resolve_config(config)
             key = self._key(tree, config)
             self._bump("requests")
             entry = self._entries.get(key)
+            record = None
+            if entry is None and costs:
+                record = self._lookup_record(key)
             if entry is not None:
+                source = "memory_hit"
                 self._bump("memory_hits")
                 outcomes[index] = entry
-                continue
-            slot = pending.get(key)
-            if slot is None:
-                slot = _Pending(tree=tree, config=config)
-                pending[key] = slot
-            slot.indices.append(index)
+            elif record is not None:
+                source = "disk_hit"
+                self._bump("disk_hits")
+                outcomes[index] = self._record_cost(record)
+            else:
+                source = "miss"
+                pending.setdefault(
+                    key, _Pending(tree=tree, config=config)
+                ).indices.append(index)
+            if not batch and self.tracer.enabled:
+                self.tracer.event(
+                    "service.cache", cat="service",
+                    outcome=source, request="cost" if costs else "optimize",
+                )
 
         if pending:
-            self._bump("batches")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "service.batch", cat="service",
-                    requests=len(normalized), distinct=len(pending),
-                    hits=len(normalized) - sum(
-                        len(slot.indices) for slot in pending.values()
-                    ),
-                )
-            with self.tracer.span("service.batch_compute", cat="service"):
+            if batch:
+                self._bump("batches")
+                if self.tracer.enabled:
+                    misses = sum(len(slot.indices) for slot in pending.values())
+                    self.tracer.event(
+                        "service.batch", cat="service",
+                        requests=len(requests), distinct=len(pending),
+                        hits=len(requests) - misses,
+                    )
+                with self.tracer.span("service.batch_compute", cat="service"):
+                    computed = self._compute_batch(pending)
+            else:
                 computed = self._compute_batch(pending)
             for key, entry in computed.items():
                 self._store(key, entry)
                 for index in pending[key].indices:
                     outcomes[index] = entry
+        return outcomes  # every slot is filled above
 
+    @staticmethod
+    def _results(
+        outcomes: List[_Entry], return_errors: bool
+    ) -> List[Union[OptimizeResult, OptimizationError]]:
         results: List[Union[OptimizeResult, OptimizationError]] = []
         for entry in outcomes:
-            assert entry is not None
             if entry.result is not None:
                 results.append(entry.result)
             else:
@@ -403,43 +392,12 @@ class PlanService:
                 results.append(error)
         return results
 
-    def cost_many(self, requests: Sequence[PlanRequest]) -> List[float]:
-        """Batch form of :meth:`cost` (disk-cache aware, ``inf`` on failure)."""
-        normalized: List[Tuple[LogicalOp, Optional[OptimizerConfig]]] = []
-        for request in requests:
-            if isinstance(request, LogicalOp):
-                normalized.append((request, None))
-            else:
-                normalized.append(request)
-
-        costs: List[Optional[float]] = [None] * len(normalized)
-        missing: List[int] = []
-        for index, (tree, config) in enumerate(normalized):
-            resolved = self._resolve_config(config)
-            key = self._key(tree, resolved)
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._bump("requests")
-                self._bump("memory_hits")
-                costs[index] = entry.cost
-                continue
-            record = self._lookup_record(key)
-            if record is not None:
-                self._bump("requests")
-                self._bump("disk_hits")
-                costs[index] = self._record_cost(record)
-                continue
-            missing.append(index)
-
-        if missing:
-            batch = [normalized[index] for index in missing]
-            outcomes = self.optimize_many(batch, return_errors=True)
-            for index, outcome in zip(missing, outcomes):
-                if isinstance(outcome, OptimizationError):
-                    costs[index] = float("inf")
-                else:
-                    costs[index] = outcome.cost
-        return [float(cost) for cost in costs]  # every slot is filled above
+    @staticmethod
+    def _costs(outcomes: List[Union[_Entry, float]]) -> List[float]:
+        return [
+            outcome.cost if isinstance(outcome, _Entry) else outcome
+            for outcome in outcomes
+        ]
 
     # ------------------------------------------------------- plan execution
 
@@ -450,19 +408,19 @@ class PlanService:
         database: Optional[Database] = None,
         execution=None,
     ) -> List["BatchItem"]:
-        """Execute physical plans batched, with a cross-batch result cache.
+        """Execute physical plans, with a cross-call result cache.
 
         ``requests`` is a sequence of ``(physical plan, output columns)``
         pairs; returns one :class:`repro.engine.batch.BatchItem` per
-        request, in order.  On top of the within-batch coalescing done by
-        :func:`repro.engine.batch.execute_many`, results are cached
-        across calls keyed by ``(plan signature, projection, database
-        fingerprint)``, so campaign loops that re-execute the same
-        baseline plan per mutant pay for it once (``exec.cache_hits``).
-        The database fingerprint in the key invalidates stale entries
-        the moment any table is mutated.
+        request, in order.  Results are cached keyed by ``(plan
+        signature, projection, database fingerprint)``, so campaign loops
+        that re-execute the same baseline plan per mutant pay for it once,
+        and a request whose key appeared earlier in the same call reuses
+        that item; both count as ``exec.cache_hits``.  The database
+        fingerprint in the key invalidates stale entries the moment any
+        table is mutated.
         """
-        from repro.engine.batch import BatchItem, execute_many
+        from repro.engine.batch import execute_many
         from repro.engine.config import default_execution_config
         from repro.physical.operators import plan_signature
 
@@ -476,45 +434,36 @@ class PlanService:
             execution = default_execution_config()
         db_token = database.data_fingerprint()
 
-        items: List[Optional[BatchItem]] = [None] * len(requests)
-        misses: List[int] = []
-        miss_requests: List[Tuple[object, Optional[Tuple]]] = []
-        miss_keys: List[Tuple] = []
-        hits = 0
-        for index, (plan, outputs) in enumerate(requests):
-            out_key = (
-                tuple(c.cid for c in outputs) if outputs is not None else None
+        keys = [
+            (
+                plan_signature(plan),
+                tuple(c.cid for c in outputs) if outputs is not None else None,
+                db_token,
             )
-            key = (plan_signature(plan), out_key, db_token)
-            cached = self._exec_cache.get(key)
-            if cached is not None:
-                items[index] = BatchItem(
-                    result=cached.result, error=cached.error, coalesced=True
-                )
-                hits += 1
-            else:
-                misses.append(index)
-                miss_requests.append((plan, outputs))
-                miss_keys.append(key)
+            for plan, outputs in requests
+        ]
+        # First request index of every key the cache cannot answer.
+        misses: Dict[Tuple, int] = {}
+        for index, key in enumerate(keys):
+            if key not in self._exec_cache and key not in misses:
+                misses[key] = index
+        hits = len(keys) - len(misses)
         if hits and self.metrics is not None:
             self.metrics.counter("exec.cache_hits").inc(hits)
 
         if misses:
             executed = execute_many(
-                miss_requests,
+                [requests[index] for index in misses.values()],
                 database,
                 config=execution,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-            for index, key, item in zip(misses, miss_keys, executed):
-                items[index] = item
-                if key not in self._exec_cache:
-                    self._exec_cache[key] = item
-            # FIFO bound: one-shot plans age out first.
-            limit = self._exec_cache_limit
-            while len(self._exec_cache) > limit:
-                self._exec_cache.pop(next(iter(self._exec_cache)))
+            self._exec_cache.update(zip(misses, executed))
+        items = [self._exec_cache[key] for key in keys]
+        # FIFO bound: one-shot plans age out first.
+        while len(self._exec_cache) > self._exec_cache_limit:
+            self._exec_cache.pop(next(iter(self._exec_cache)))
         return items
 
     # ------------------------------------------------------- pool execution

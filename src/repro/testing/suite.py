@@ -85,36 +85,29 @@ class CostOracle:
 
     def cost_without(self, query: SuiteQuery, rules_off: RuleNode) -> float:
         """``Cost(q, ¬R)`` -- one logical invocation per distinct request."""
-        key = self._oracle_key(query, rules_off)
-        if key in self._cache:
-            self.cache_hits += 1
-            return self._cache[key]
-        self.invocations += 1
-        tracer = self.service.tracer
-        if tracer.enabled:
-            tracer.event(
-                "oracle.cost_without", cat="testing",
-                query=query.query_id, rules=",".join(sorted(rules_off)),
-            )
-        cost = self.service.cost(
-            query.tree, self.config.with_disabled(rules_off)
-        )
-        self._cache[key] = cost
-        return cost
+        return self._costs([(query, rules_off)], batch=False)[0]
 
     def cost_without_many(
         self, pairs: Sequence[Tuple[SuiteQuery, RuleNode]]
     ) -> List[float]:
-        """Batch edge-cost construction through ``optimize_many``.
+        """Batch edge-cost construction through ``cost_many``.
 
         Distinct unseen requests fan out over the service's worker pool in
         one batch; counters behave exactly as if :meth:`cost_without` had
         been called per pair (repeats hit the oracle cache).
         """
+        return self._costs(pairs, batch=True)
+
+    def _costs(
+        self, pairs: Sequence[Tuple[SuiteQuery, RuleNode]], *, batch: bool
+    ) -> List[float]:
+        """The one counting path: oracle-cache hits and repeats count as
+        ``cache_hits``, each distinct unseen request as one invocation;
+        only a ``batch`` goes to the service as a ``cost_many`` batch."""
+        tracer = self.service.tracer
         costs: List[Optional[float]] = [None] * len(pairs)
-        order: List[Tuple[int, RuleNode]] = []
-        requests = []
         request_indices: Dict[Tuple[int, RuleNode], List[int]] = {}
+        requests = []
         for index, (query, rules_off) in enumerate(pairs):
             key = self._oracle_key(query, rules_off)
             if key in self._cache:
@@ -122,26 +115,30 @@ class CostOracle:
                 costs[index] = self._cache[key]
                 continue
             slots = request_indices.get(key)
-            if slots is None:
-                self.invocations += 1
-                request_indices[key] = [index]
-                order.append(key)
-                requests.append(
-                    (query.tree, self.config.with_disabled(rules_off))
-                )
-            else:
+            if slots is not None:
                 self.cache_hits += 1
                 slots.append(index)
-        if requests:
-            with self.service.tracer.span(
+                continue
+            self.invocations += 1
+            request_indices[key] = [index]
+            requests.append((query.tree, self.config.with_disabled(rules_off)))
+            if not batch and tracer.enabled:
+                tracer.event(
+                    "oracle.cost_without", cat="testing",
+                    query=query.query_id, rules=",".join(key[1]),
+                )
+        if batch and requests:
+            with tracer.span(
                 "oracle.cost_without_many", cat="testing",
                 requests=len(pairs), distinct=len(requests),
             ):
                 resolved = self.service.cost_many(requests)
-            for key, cost in zip(order, resolved):
-                self._cache[key] = cost
-                for index in request_indices[key]:
-                    costs[index] = cost
+        else:
+            resolved = [self.service.cost(*request) for request in requests]
+        for (key, indices), cost in zip(request_indices.items(), resolved):
+            self._cache[key] = cost
+            for index in indices:
+                costs[index] = cost
         return [float(cost) for cost in costs]
 
     def plan_without(self, query: SuiteQuery, rules_off: RuleNode):

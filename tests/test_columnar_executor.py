@@ -2,9 +2,9 @@
 
 Covers the pieces the differential suites exercise only indirectly: the
 NULLS-FIRST ordering contract, ``ExecutionConfig`` and its environment
-overrides, bag digests, the table column-snapshot cache, batched
-execution with coalescing, the ``PlanService`` cross-batch result cache,
-``EngineBackend.run_many``, batched-vs-serial ``CorrectnessRunner``
+overrides, bag digests, the table column-snapshot cache, ``execute_many``
+error capture, the ``PlanService`` result cache,
+``EngineBackend.run_many``, iterator-vs-columnar ``CorrectnessRunner``
 record identity, and the self-check mode.
 """
 
@@ -188,18 +188,6 @@ class TestTableSnapshots:
 
 
 class TestExecuteMany:
-    def test_coalesces_identical_requests(self, sort_db):
-        plan, outputs = _plan_for("SELECT a, b FROM t WHERE b > 1", sort_db)
-        metrics = MetricsRegistry()
-        items = execute_many(
-            [(plan, outputs)] * 3, sort_db, metrics=metrics
-        )
-        assert [item.coalesced for item in items] == [False, True, True]
-        # Coalesced requests share one QueryResult (and its digest).
-        assert items[0].result is items[1].result is items[2].result
-        assert metrics.counter_value("exec.batches") == 1
-        assert metrics.counter_value("exec.coalesced") == 2
-
     def test_error_does_not_abort_batch(self, sort_db, monkeypatch):
         plan, outputs = _plan_for("SELECT a FROM t", sort_db)
         bad_plan, bad_outputs = _plan_for("SELECT b FROM t", sort_db)
@@ -223,6 +211,20 @@ class TestExecuteMany:
 
 
 class TestPlanServiceExecuteMany:
+    def test_duplicates_in_one_call_run_once(self, sort_db):
+        from repro.service import PlanService
+
+        metrics = MetricsRegistry()
+        service = PlanService(
+            sort_db, registry=default_registry(), metrics=metrics
+        )
+        plan, outputs = _plan_for("SELECT a, b FROM t WHERE b > 1", sort_db)
+        items = service.execute_many([(plan, outputs)] * 3)
+        # Repeats share one QueryResult (and its digest).
+        assert items[0].result is items[1].result is items[2].result
+        assert metrics.counter_value("exec.executions", executor=COLUMNAR) == 1
+        assert metrics.counter_value("exec.cache_hits") == 2
+
     def test_cross_batch_result_cache(self, sort_db):
         from repro.service import PlanService
 
@@ -232,9 +234,8 @@ class TestPlanServiceExecuteMany:
         )
         plan, outputs = _plan_for("SELECT a, b FROM t WHERE b > 1", sort_db)
         first = service.execute_many([(plan, outputs)])
+        assert service.metrics.counter_value("exec.cache_hits") == 0
         second = service.execute_many([(plan, outputs)])
-        assert not first[0].coalesced
-        assert second[0].coalesced
         assert second[0].result is first[0].result
         assert service.metrics.counter_value("exec.cache_hits") == 1
 
@@ -242,12 +243,15 @@ class TestPlanServiceExecuteMany:
         from repro.service import PlanService
 
         registry = default_registry()
-        service = PlanService(sort_db, registry=registry)
+        service = PlanService(
+            sort_db, registry=registry, metrics=MetricsRegistry()
+        )
         plan, outputs = _plan_for("SELECT a FROM t", sort_db)
         first = service.execute_many([(plan, outputs)])
         sort_db.insert("t", [(7, 1)])
         second = service.execute_many([(plan, outputs)])
-        assert not second[0].coalesced
+        assert second[0].result is not first[0].result
+        assert service.metrics.counter_value("exec.cache_hits") == 0
         assert second[0].result.row_count == first[0].result.row_count + 1
 
     def test_requires_database(self, sort_db):
@@ -285,7 +289,7 @@ class TestBatchedRunners:
                 b.error, b.bag, b.row_count, b.plan
             )
 
-    def test_batched_correctness_matches_serial(self, tpch_db, registry):
+    def test_iterator_correctness_matches_columnar(self, tpch_db, registry):
         from repro.testing.compression import CompressionPlan
         from repro.testing.correctness import CorrectnessRunner
         from repro.testing.suite import TestSuiteBuilder, singleton_nodes
@@ -310,19 +314,22 @@ class TestBatchedRunners:
                 for query_id in ids
             },
         )
-        serial = CorrectnessRunner(
-            tpch_db, registry, batched=False,
-            execution=ExecutionConfig(executor=ITERATOR),
+        iterator = CorrectnessRunner(
+            tpch_db, registry, execution=ITERATOR_CONFIG
         ).run(plan, suite)
-        batched = CorrectnessRunner(tpch_db, registry).run(plan, suite)
-        assert serial.records == batched.records
-        assert serial.errors == batched.errors
-        assert [str(i) for i in serial.issues] == [
-            str(i) for i in batched.issues
+        columnar = CorrectnessRunner(
+            tpch_db, registry, execution=COLUMNAR_CONFIG
+        ).run(plan, suite)
+        assert iterator.comparisons > 0
+        assert iterator.records == columnar.records
+        assert iterator.errors == columnar.errors
+        assert [str(i) for i in iterator.issues] == [
+            str(i) for i in columnar.issues
         ]
-        assert serial.comparisons == batched.comparisons
+        assert iterator.comparisons == columnar.comparisons
         assert (
-            serial.skipped_identical_plans == batched.skipped_identical_plans
+            iterator.skipped_identical_plans
+            == columnar.skipped_identical_plans
         )
 
 

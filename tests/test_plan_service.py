@@ -227,3 +227,122 @@ class TestCostOracleCounters:
             oracle.cost_without(query, rules_off)
             for query, rules_off in pairs
         ]
+
+
+class TestCounterPin:
+    """One fixed mix of single and batch traffic pins every counter.
+
+    Memory hits, disk hits, misses, in-batch duplicates and optimization
+    errors pass through ``optimize``, ``cost``, ``optimize_many``,
+    ``cost_many`` and both :class:`CostOracle` entry points; the totals
+    below are the contract the single-request methods must keep.
+    """
+
+    SQL_CUSTOMER = "SELECT c_name FROM customer WHERE c_acctbal > 500"
+    SQL_NATION = "SELECT n_name FROM nation ORDER BY n_name"
+
+    def _query(self, db, query_id, sql):
+        return SuiteQuery(
+            query_id=query_id, tree=_tree(db, sql), sql=sql, cost=1.0,
+            ruleset=frozenset(), generated_for=("JoinCommutativity",),
+        )
+
+    def test_counters_for_a_fixed_traffic_mix(
+        self, tpch_db, registry, tmp_path
+    ):
+        from repro.obs import MetricsRegistry
+
+        # Without GetToTableScan no physical plan can exist.
+        fail = DEFAULT_CONFIG.with_disabled(["GetToTableScan"])
+        simple, join, agg = (
+            _tree(tpch_db, sql) for sql in (SQL_SIMPLE, SQL_JOIN, SQL_AGG)
+        )
+        customer = _tree(tpch_db, self.SQL_CUSTOMER)
+        nation = _tree(tpch_db, self.SQL_NATION)
+
+        warm = PlanService(tpch_db, registry=registry, cache_dir=tmp_path)
+        agg_cost = warm.cost(agg)
+        warm.cost(nation)
+        assert warm.cost(simple, fail) == float("inf")
+
+        metrics = MetricsRegistry()
+        service = PlanService(
+            tpch_db, registry=registry, cache_dir=tmp_path, metrics=metrics
+        )
+        first = service.optimize(simple)  # miss
+        assert service.optimize(simple) is first  # memory hit
+        service.cost(join)  # miss
+        assert service.cost(agg) == agg_cost  # disk hit
+        assert service.cost(simple, fail) == float("inf")  # disk hit
+        for _ in range(2):  # miss with an error, then a memory hit
+            with pytest.raises(OptimizationError):
+                service.optimize(simple, fail)
+
+        results = service.optimize_many(
+            [simple, join, agg, agg, (simple, fail)], return_errors=True
+        )
+        assert results[0] is first
+        assert results[2] is results[3]  # in-batch duplicate computed once
+        assert isinstance(results[4], OptimizationError)
+        service.optimize_many([simple, join])  # all memory hits: no batch
+
+        costs = service.cost_many(
+            [join, nation, customer, customer, (customer, fail), (agg, None)]
+        )
+        assert costs[2] == costs[3]
+        assert costs[4] == float("inf")
+        assert costs[5] == agg_cost
+        service.cost_many([join, agg])  # all memory hits: no batch
+        with pytest.raises(OptimizationError):
+            service.optimize_many([(nation, fail)])
+
+        oracle = CostOracle(tpch_db, registry, service=service)
+        node = ("JoinCommutativity",)
+        q_join = self._query(tpch_db, 0, SQL_JOIN)
+        q_agg = self._query(tpch_db, 1, SQL_AGG)
+        q_simple = self._query(tpch_db, 2, SQL_SIMPLE)
+        q_nation = self._query(tpch_db, 3, self.SQL_NATION)
+        oracle.cost_without(q_join, node)  # service miss
+        oracle.cost_without(q_join, node)  # oracle hit
+        assert oracle.cost_without(
+            q_simple, ("GetToTableScan",)
+        ) == float("inf")  # service memory hit on a remembered failure
+        oracle.cost_without_many(
+            [
+                (q_join, node), (q_agg, node), (q_agg, node),
+                (q_nation, node), (q_simple, ("GetToTableScan",)),
+            ]
+        )
+        oracle.cost_without_many([(q_agg, node)])
+
+        expected = {
+            "requests": 27,
+            "memory_hits": 12,
+            "disk_hits": 3,
+            "hits": 15,
+            "computed": 10,
+            "errors": 3,
+            "batches": 4,
+            "parallel_tasks": 0,
+        }
+        assert service.counters.as_dict() == expected
+        counters = {
+            name: value
+            for name, value in metrics.snapshot()["counters"].items()
+            if name.startswith("service.")
+        }
+        assert counters == {
+            f"service.{name}": value
+            for name, value in expected.items()
+            if name not in ("hits", "parallel_tasks")
+        }
+        assert (oracle.invocations, oracle.cache_hits) == (4, 5)
+
+    def test_single_miss_never_uses_the_pool(self, tpch_db, registry):
+        service = PlanService(tpch_db, registry=registry, workers=2)
+        service.optimize(_tree(tpch_db, SQL_SIMPLE))
+        service.cost(_tree(tpch_db, SQL_JOIN))
+        service.cost_many([_tree(tpch_db, SQL_AGG)])
+        assert service.counters.computed == 3
+        assert service.counters.parallel_tasks == 0
+        assert service.counters.batches == 1
